@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-full race bench bench-json bench-check figures figures-fast demo-overload obs-demo chaos chaos-demo proxy-demo proxy-test sysfault sysfault-demo lint invariants verify clean
+.PHONY: all build test test-full race stress bench bench-json bench-check figures figures-fast demo-overload obs-demo chaos chaos-demo proxy-demo proxy-test sysfault sysfault-demo lint invariants verify clean
 
 all: build test
 
@@ -19,6 +19,18 @@ test-full:
 # Unit tests under the race detector (what CI runs).
 race:
 	go test -race -short ./...
+
+# The timing-sensitive suites re-run next to two shell busy-loops, so a
+# verdict that depends on an idle CPU fails here instead of on a shared
+# box. The busy-loops are killed on exit, pass or fail.
+stress:
+	@sh -c 'while :; do :; done' & b1=$$!; \
+	sh -c 'while :; do :; done' & b2=$$!; \
+	trap 'kill $$b1 $$b2 2>/dev/null' EXIT INT TERM; \
+	set -e; \
+	go test -count=20 -run 'TestLinkStatsDeterministicAcrossRuns' ./internal/faultline; \
+	go test -count=20 -run 'TestAcceptor' ./internal/reactor; \
+	go test -count=6 -run 'TestSysfaultSendfileFallbackByteCorrect|TestLifecycleConformance|TestSlowloris' .
 
 # One iteration of every benchmark, including the per-figure harness.
 bench:

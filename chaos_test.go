@@ -89,7 +89,7 @@ func dumpNetStatsOnFailure(t *testing.T, name string, stats func() faultline.Sta
 
 // cpuPin serializes request handling behind one mutex and charges each
 // request a fixed service time — a single-CPU compute model that is the
-// same for both architectures. On the event-driven core (Workers: 1)
+// same for both architectures. On the event-driven core (one fan-out shard)
 // the worker thread already serializes and the mutex is free; on the
 // thread pool it makes N parallel threads share one emulated processor,
 // so both servers present the identical CPU ceiling the scenario's
@@ -131,7 +131,8 @@ func startChaosServer(t *testing.T, kind string, store core.Store, svc time.Dura
 	switch kind {
 	case "nio":
 		cfg := core.DefaultConfig(store)
-		cfg.Workers = 1
+		cfg.Shards = 1
+		cfg.AcceptFanout = true
 		cfg.HandlerFault = pin.fault
 		cfg.Watchdog = wd
 		cfg.Obs = pl

@@ -30,8 +30,7 @@ import (
 
 func main() {
 	port := flag.Int("port", 8080, "port to listen on (0 picks a free port)")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "reactor shards, each a full event loop with its own epoll fd (0 = legacy -workers fan-out mode)")
-	workers := flag.Int("workers", 1, "legacy fan-out mode only (-shards 0): reactor worker threads fed by one acceptor")
+	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "reactor shards (at least 1), each a full event loop with its own epoll fd and SO_REUSEPORT listener")
 	objects := flag.Int("objects", 2000, "SURGE object population size")
 	seed := flag.Uint64("seed", 7, "object-set seed")
 	docrootDir := flag.String("docroot", "", `serve real files from disk instead of memory: a directory path, or "tmp" to materialize the SURGE set into a fresh temp dir ("" = in-memory store)`)
@@ -65,7 +64,6 @@ func main() {
 	}
 	cfg.Port = *port
 	cfg.Shards = *shards
-	cfg.Workers = *workers
 	cfg.IdleTimeout = *idle
 	cfg.HeaderTimeout = *header
 	cfg.MaxConns = *maxConns

@@ -80,7 +80,8 @@ func startServer(kind string, store core.Store, svc time.Duration) (string, func
 	switch kind {
 	case "nio":
 		cfg := core.DefaultConfig(store)
-		cfg.Workers = 1
+		cfg.Shards = 1
+		cfg.AcceptFanout = true
 		cfg.HandlerFault = pin.fault
 		srv, err := core.NewServer(cfg)
 		if err != nil {

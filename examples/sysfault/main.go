@@ -70,7 +70,8 @@ func main() {
 	}
 	cfg := core.DefaultConfig(nil)
 	cfg.Docroot = root
-	cfg.Workers = 1
+	cfg.Shards = 1
+	cfg.AcceptFanout = true
 	srv, err := core.NewServer(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -13,12 +13,13 @@ import (
 )
 
 // benchServer starts a server with a fixed-size object for the micro
-// benchmarks.
-func benchServer(b *testing.B, workers int, bodyBytes int) (*Server, net.Conn, *bufio.Reader) {
+// benchmarks: one acceptor fanning out to shards event loops.
+func benchServer(b *testing.B, shards int, bodyBytes int) (*Server, net.Conn, *bufio.Reader) {
 	b.Helper()
 	store := MapStore{"/obj": make([]byte, bodyBytes)}
 	cfg := DefaultConfig(store)
-	cfg.Workers = workers
+	cfg.Shards = shards
+	cfg.AcceptFanout = true
 	s, err := NewServer(cfg)
 	if err != nil {
 		b.Fatal(err)

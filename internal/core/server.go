@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -24,21 +24,15 @@ import (
 type Config struct {
 	// Port to listen on (0 picks a free port; see Server.Port).
 	Port int
-	// Workers is the number of reactor worker threads under the legacy
-	// single-acceptor topology (the paper's key knob: 1–2 suffice on a
-	// uniprocessor, 2 on the 4-way SMP). Ignored when Shards > 0.
-	Workers int
-	// Shards selects the N-reactor sharded architecture: N independent
-	// event loops, each with its own epoll instance, wakeup pipe, timer
-	// wheel, connection table, and deterministic fault lane, accepting
-	// directly from the shared port via SO_REUSEPORT so the kernel
-	// hashes incoming connections across the shards with no shared
-	// accept lock. 0 keeps the legacy topology: one blocking acceptor
-	// thread fanning accepted fds out to Workers reactor loops.
+	// Shards is the number of reactor event loops, at least 1. Each
+	// has its own epoll instance, wakeup pipe, timer wheel, connection
+	// table, and deterministic fault lane, and accepts directly from the
+	// shared port via SO_REUSEPORT, so the kernel hashes incoming
+	// connections across the shards with no shared accept lock.
 	Shards int
-	// AcceptFanout forces the single-acceptor fan-out path even when
-	// Shards > 0: each shard still runs its own loop, wheel, and fault
-	// lane, but accepted fds arrive over a lock-free SPSC ring from the
+	// AcceptFanout runs the paper's 1 acceptor + N workers topology
+	// instead: each shard still runs its own loop, wheel, and fault
+	// lane, but accepted fds arrive over a lock-free SPSC ring from one
 	// acceptor thread instead of a per-shard listener. This is also the
 	// automatic fallback when the kernel rejects SO_REUSEPORT.
 	AcceptFanout bool
@@ -105,10 +99,11 @@ type Config struct {
 	Obs *obs.Plane
 }
 
-// DefaultConfig returns the paper's best uniprocessor configuration.
+// DefaultConfig returns the paper's best uniprocessor configuration:
+// one event loop on one reuseport listener.
 func DefaultConfig(store Store) Config {
 	return Config{
-		Workers: 1,
+		Shards:  1,
 		Backlog: 1024,
 		ReadBuf: 16 << 10,
 		Store:   store,
@@ -118,12 +113,10 @@ func DefaultConfig(store Store) Config {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.Shards < 0:
-		return fmt.Errorf("core: negative Shards %d", c.Shards)
+	case c.Shards < 1:
+		return fmt.Errorf("core: Shards must be positive, got %d", c.Shards)
 	case c.Shards > sysfault.MaxLanes:
 		return fmt.Errorf("core: Shards %d exceeds the %d supported fault lanes", c.Shards, sysfault.MaxLanes)
-	case c.Shards == 0 && c.Workers <= 0:
-		return fmt.Errorf("core: Workers must be positive, got %d", c.Workers)
 	case c.Backlog <= 0:
 		return fmt.Errorf("core: Backlog must be positive, got %d", c.Backlog)
 	case c.ReadBuf < 256:
@@ -140,14 +133,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative MaxConns %d", c.MaxConns)
 	}
 	return nil
-}
-
-// shardCount is the number of event loops this configuration runs.
-func (c Config) shardCount() int {
-	if c.Shards > 0 {
-		return c.Shards
-	}
-	return c.Workers
 }
 
 // Stats are the server's counters (all atomic; safe to read live).
@@ -194,13 +179,13 @@ type Stats struct {
 	SendfileFallbacks int64
 }
 
-// statBlock is one owner's set of server counters: each shard has its
-// own block (so the hot path never bounces a shared cache line between
-// loops) and the acceptor thread has one for the accept-side counters
-// it owns under fan-out. Server.Stats sums the blocks — plain
-// addition, so the merged view is exact, not sampled.
+// statBlock is one shard's set of server counters: each shard has its
+// own block, so the hot path never bounces a shared cache line between
+// loops (the fan-out acceptor counts its rare sheds into shard 0's).
+// The accept-side counters live in each reactor.Acceptor. Server.Stats
+// sums the blocks and the acceptors — plain addition, so the merged
+// view is exact, not sampled.
 type statBlock struct {
-	accepted          counter
 	replies           counter
 	bytesOut          counter
 	notFound          counter
@@ -211,8 +196,6 @@ type statBlock struct {
 	notModified       counter
 	sendfileBytes     counter
 	handlerPanics     counter
-	acceptEMFILE      counter
-	acceptBackoffs    counter
 	writeStalls       counter
 	writeResets       counter
 	sendfileFallbacks counter
@@ -222,7 +205,6 @@ type statBlock struct {
 // field: it is the one genuinely global gauge (the MaxConns ceiling is
 // global), kept on the Server.
 func (b *statBlock) addInto(st *Stats) {
-	st.Accepted += b.accepted.get()
 	st.Replies += b.replies.get()
 	st.BytesOut += b.bytesOut.get()
 	st.NotFound += b.notFound.get()
@@ -233,32 +215,48 @@ func (b *statBlock) addInto(st *Stats) {
 	st.NotModified += b.notModified.get()
 	st.SendfileBytes += b.sendfileBytes.get()
 	st.HandlerPanics += b.handlerPanics.get()
-	st.AcceptEMFILE += b.acceptEMFILE.get()
-	st.AcceptBackoffs += b.acceptBackoffs.get()
 	st.WriteStalls += b.writeStalls.get()
 	st.WriteResets += b.writeResets.get()
 	st.SendfileFallbacks += b.sendfileFallbacks.get()
+}
+
+// addAcceptInto accumulates an acceptor's counters into st (a nil
+// acceptor, e.g. a fan-out shard's, adds nothing).
+func addAcceptInto(st *Stats, a *reactor.Acceptor) {
+	if a == nil {
+		return
+	}
+	c := a.Counts()
+	st.Accepted += c.Accepted
+	st.AcceptEMFILE += c.EMFILE
+	st.AcceptBackoffs += c.Backoffs
 }
 
 // Server is the live event-driven web server.
 type Server struct {
 	cfg  Config
 	port int
-	// lfd is the shared listener under fan-out; -1 in reuseport mode,
-	// where each shard owns its own listening socket instead.
+	// lfd is the shared listener under fan-out until Start hands it to
+	// the acceptor; -1 in reuseport mode, where each shard owns its own
+	// listening socket instead.
 	lfd int
 	// shardLfds holds the per-shard SO_REUSEPORT listeners between
-	// NewServer and Start (Start hands them to the shards; a Stop
-	// before Start closes them here).
+	// NewServer and Start (Start hands each to its shard's acceptor and
+	// clears the slot; a Stop before Start closes what is left).
 	shardLfds []int
 	// fanout records the accept topology actually in effect: true for
-	// the single-acceptor path (legacy Workers mode, forced
-	// AcceptFanout, or SO_REUSEPORT unavailable).
+	// the single-acceptor path (forced AcceptFanout, or SO_REUSEPORT
+	// unavailable).
 	fanout  bool
 	started bool
 
-	shards    []*shard
+	shards []*shard
+	// acceptor is the fan-out acceptor thread's poller and acc its
+	// accept pipeline (both nil in reuseport mode); rr is its
+	// round-robin cursor over the shards.
 	acceptor  *reactor.Poller
+	acc       *reactor.Acceptor
+	rr        int
 	wg        sync.WaitGroup
 	stopping  chan struct{}
 	stopOnce  sync.Once
@@ -269,28 +267,14 @@ type Server struct {
 	// CASes against it so the MaxConns ceiling holds exactly even with
 	// N shards accepting concurrently.
 	connsOpen counter
-	// acceptStats holds the accept-side counters owned by the fan-out
-	// acceptor thread (zero in reuseport mode, where shards accept).
-	acceptStats *statBlock
-	// obsAccept is the acceptor's observability view (shard-0 block).
-	obsAccept *obs.View
-
-	// reserveFD is one descriptor held on /dev/null purely so the
-	// acceptor can close it to free a slot when accept(2) reports
-	// EMFILE, accept-and-503 the pending connection, and re-arm.
-	// Owned by the acceptor thread once Start has run; in reuseport
-	// mode each shard holds its own reserve instead.
-	reserveFD int
 }
 
 // counter is a tiny atomic counter (avoids importing metrics here).
-type counter struct{ v int64 }
+type counter struct{ v atomic.Int64 }
 
-func (c *counter) add(d int64) { atomicAdd(&c.v, d) }
-func (c *counter) get() int64  { return atomicLoad(&c.v) }
-func (c *counter) cas(old, new int64) bool {
-	return atomicCAS(&c.v, old, new)
-}
+func (c *counter) add(d int64)             { c.v.Add(d) }
+func (c *counter) get() int64              { return c.v.Load() }
+func (c *counter) cas(old, new int64) bool { return c.v.CompareAndSwap(old, new) }
 
 // NewServer validates the configuration and binds the listener(s);
 // call Start to begin serving. In sharded mode every per-shard
@@ -303,17 +287,12 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:         cfg,
-		lfd:         -1,
-		stopping:    make(chan struct{}),
-		draining:    make(chan struct{}),
-		acceptStats: &statBlock{},
-		reserveFD:   -1,
+		cfg:      cfg,
+		lfd:      -1,
+		stopping: make(chan struct{}),
+		draining: make(chan struct{}),
 	}
-	if pl := cfg.Obs; pl != nil {
-		s.obsAccept = pl.View(0)
-	}
-	fanout := cfg.Shards <= 0 || cfg.AcceptFanout
+	fanout := cfg.AcceptFanout
 	if !fanout {
 		port := cfg.Port
 		for i := 0; i < cfg.Shards; i++ {
@@ -348,21 +327,9 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.lfd = lfd
 		s.port = port
-		s.reserveFD = openReserve()
 	}
 	s.fanout = fanout
 	return s, nil
-}
-
-// openReserve opens the fd-exhaustion reserve descriptor (see
-// Server.reserveFD). A failure to open it (-1) only disables the
-// recovery, never the server.
-func openReserve() int {
-	fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-	if err != nil {
-		return -1
-	}
-	return fd
 }
 
 // Port returns the bound port.
@@ -372,7 +339,7 @@ func (s *Server) Port() int { return s.port }
 func (s *Server) Addr() string { return fmt.Sprintf("127.0.0.1:%d", s.port) }
 
 // NumShards returns the number of event loops this server runs.
-func (s *Server) NumShards() int { return s.cfg.shardCount() }
+func (s *Server) NumShards() int { return s.cfg.Shards }
 
 // AcceptMode reports how connections reach the shards: "reuseport"
 // (kernel accept sharding, each shard accepts from its own listener)
@@ -390,9 +357,10 @@ func (s *Server) AcceptMode() string {
 // the usual torn-read-across-counters caveat any live scrape has.
 func (s *Server) Stats() Stats {
 	var st Stats
-	s.acceptStats.addInto(&st)
+	addAcceptInto(&st, s.acc)
 	for _, w := range s.shards {
 		w.stats.addInto(&st)
+		addAcceptInto(&st, w.acc)
 	}
 	st.ConnsOpen = s.connsOpen.get()
 	return st
@@ -403,6 +371,7 @@ func (s *Server) Stats() Stats {
 func (s *Server) ShardStats(i int) Stats {
 	var st Stats
 	s.shards[i].stats.addInto(&st)
+	addAcceptInto(&st, s.shards[i].acc)
 	return st
 }
 
@@ -427,21 +396,51 @@ func (s *Server) tryAcquireConn() bool {
 	}
 }
 
+// shedRetryAfterSec is the Retry-After advertised on sheds not governed
+// by an admission controller (the static MaxConns ceiling).
+const shedRetryAfterSec = 1
+
+// docrootPressureEvictions is how many cached entries (and so shared
+// file descriptors) the accepting thread asks the docroot to give back
+// per EMFILE event — enough to make real room, small enough not to
+// dump a warm cache over one transient spike.
+const docrootPressureEvictions = 8
+
+// newAcceptor puts listener lfd on poller p behind the shared accept
+// pipeline: admission, then the global MaxConns ceiling, then adopt.
+// Sheds are counted and traced by shard w. Under EMFILE a docroot,
+// when configured, is asked to shed a few cache entries first: cached
+// content pins file descriptors, so giving those back attacks the
+// exhaustion itself rather than just the symptom.
+func (s *Server) newAcceptor(lfd int, p *reactor.Poller, w *shard, adopt func(int, time.Time)) (*reactor.Acceptor, error) {
+	cfg := reactor.AcceptConfig{
+		Listener:      lfd,
+		Poller:        p,
+		Admission:     s.cfg.Admission,
+		RetryAfterSec: shedRetryAfterSec,
+		Acquire:       s.tryAcquireConn,
+		Adopt:         adopt,
+		OnShed:        w.recordShed,
+	}
+	if dr := s.cfg.Docroot; dr != nil {
+		cfg.OnFDPressure = func() { dr.ShedFDs(docrootPressureEvictions) }
+	}
+	return reactor.NewAcceptor(cfg)
+}
+
 // Start launches the shard threads (and, under fan-out, the acceptor).
 func (s *Server) Start() error {
-	n := s.cfg.shardCount()
 	fail := func(err error) error {
 		for _, w := range s.shards {
-			w.poller.Close()
-			if w.reserve >= 0 {
-				reactor.CloseFD(w.lane, w.reserve)
-				w.reserve = -1
+			if w.acc != nil {
+				w.acc.Close()
 			}
+			w.poller.Close()
 		}
 		s.shards = nil
 		return err
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < s.cfg.Shards; i++ {
 		w, err := newShard(s, i)
 		if err != nil {
 			return fail(err)
@@ -453,11 +452,13 @@ func (s *Server) Start() error {
 		if err != nil {
 			return fail(err)
 		}
-		if err := ap.Add(s.lfd, true, false); err != nil {
+		acc, err := s.newAcceptor(s.lfd, ap, s.shards[0], s.handoff)
+		if err != nil {
 			ap.Close()
 			return fail(err)
 		}
-		s.acceptor = ap
+		s.lfd = -1 // the acceptor owns it now
+		s.acceptor, s.acc = ap, acc
 	}
 	s.started = true
 	// Date-header ticker: one refresh per second, server-wide.
@@ -493,31 +494,34 @@ func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stopping)
 		if !s.started {
-			// Never (fully) started: no thread owns the listeners or
-			// the reserve yet, so they must be closed here or they
-			// leak.
+			// Never (fully) started: no acceptor owns these listeners
+			// yet, so they must be closed here or they leak.
 			if s.lfd >= 0 {
 				reactor.CloseFD(0, s.lfd)
 				s.lfd = -1
 			}
 			for _, fd := range s.shardLfds {
-				reactor.CloseFD(0, fd)
+				if fd >= 0 {
+					reactor.CloseFD(0, fd)
+				}
 			}
 			s.shardLfds = nil
-			if s.reserveFD >= 0 {
-				reactor.CloseFD(0, s.reserveFD)
-				s.reserveFD = -1
-			}
 			return
 		}
-		if s.acceptor != nil {
-			s.acceptor.Wakeup()
-		}
-		for _, w := range s.shards {
-			w.poller.Wakeup()
-		}
+		s.wakeAll()
 	})
 	s.wg.Wait()
+}
+
+// wakeAll interrupts every loop's poller wait so it sees a stop or
+// drain.
+func (s *Server) wakeAll() {
+	if s.acceptor != nil {
+		s.acceptor.Wakeup()
+	}
+	for _, w := range s.shards {
+		w.poller.Wakeup()
+	}
 }
 
 // Drain gracefully shuts the server down: it stops accepting, closes
@@ -530,12 +534,7 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	s.drainOnce.Do(func() {
 		close(s.draining)
 		if s.started {
-			if s.acceptor != nil {
-				s.acceptor.Wakeup()
-			}
-			for _, w := range s.shards {
-				w.poller.Wakeup()
-			}
+			s.wakeAll()
 		}
 	})
 	drained := false
@@ -551,21 +550,18 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	return drained
 }
 
-// acceptLoop is the fan-out acceptor thread: it blocks in readiness
-// selection on the shared listener and hands accepted fds to shards
+// acceptLoop is the fan-out acceptor thread: it runs the shared accept
+// pipeline on its own poller and hands admitted fds to shards
 // round-robin over their SPSC rings — the same split the paper's nio
-// server uses (one acceptor + N workers). All its syscalls run on
-// fault lane 0, the legacy deterministic stream.
+// server uses (one acceptor + N workers). While the accept gate is
+// closed it parks in the poller with the gate's timeout, so Stop and
+// Drain still wake it at once. All its syscalls run on fault lane 0.
+//
+//nio:loop
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	defer s.acceptor.Close()
-	defer reactor.CloseFD(0, s.lfd)
-	defer func() {
-		if s.reserveFD >= 0 {
-			reactor.CloseFD(0, s.reserveFD)
-			s.reserveFD = -1
-		}
-	}()
+	defer s.acc.Close()
 	// The loop blocks in raw epoll_wait, which parks an OS thread; pin
 	// the goroutine so it owns that thread outright (a reactor thread in
 	// the paper's sense) instead of bouncing through scheduler handoffs.
@@ -575,8 +571,6 @@ func (s *Server) acceptLoop() {
 	if wd := s.cfg.Watchdog; wd != nil {
 		hb = wd.Register("core-acceptor")
 	}
-	rr := 0
-	backoff := time.Duration(0)
 	for {
 		select {
 		case <-s.stopping:
@@ -585,170 +579,47 @@ func (s *Server) acceptLoop() {
 			return // drain: stop accepting; shards finish in-flight work
 		default:
 		}
-		evs, err := s.acceptor.Wait(-1)
+		ms, ok := s.acc.Arm(time.Now(), -1)
+		if !ok {
+			return
+		}
+		evs, err := s.acceptor.Wait(ms)
 		if err != nil {
 			return
 		}
-		_ = evs
 		if hb != nil {
 			hb.Begin()
 		}
-		for {
-			fd, done, err := reactor.Accept(0, s.lfd)
-			if err != nil {
-				if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
-					// Descriptor exhaustion: recover via the reserve, then
-					// back off. The listener stays readable (level-
-					// triggered) while the table is full, so retrying
-					// immediately would spin the acceptor dry; the gate
-					// trades accept latency for CPU the shards need to
-					// finish responses and free descriptors.
-					s.acceptStats.acceptEMFILE.add(1)
-					s.recoverFDExhaustion(0, s.lfd, &s.reserveFD, s.acceptStats, s.obsAccept)
-					if backoff = s.acceptGate(hb, backoff); backoff < 0 {
-						return // stopping
-					}
-					break
-				}
-				if errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM) {
-					// Transient kernel memory pressure: nothing to free on
-					// our side, just pace the retries.
-					if backoff = s.acceptGate(hb, backoff); backoff < 0 {
-						return
-					}
-					break
-				}
-				return // listener closed
+		alive := true
+		for _, ev := range evs {
+			if ev.FD == s.acc.FD() {
+				alive = s.acc.Ready(time.Now())
 			}
-			if done {
-				break
-			}
-			if fd < 0 {
-				continue // transient (ECONNABORTED): the peer gave up first
-			}
-			backoff = 0
-			s.acceptStats.accepted.add(1)
-			// Adaptive admission first: the controller's token bucket
-			// paces accepts against its latency target. Shed clients are
-			// told when to come back.
-			if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
-				s.acceptStats.shed.add(1)
-				if v := s.obsAccept; v != nil {
-					v.Record(0, obs.Shed, 0)
-				}
-				shedConn(0, fd, ac.RetryAfterSeconds())
-				continue
-			}
-			// MaxConns stays as the hard ceiling above the controller.
-			if !s.tryAcquireConn() {
-				s.acceptStats.shed.add(1)
-				if v := s.obsAccept; v != nil {
-					v.Record(0, obs.Shed, 0)
-				}
-				shedConn(0, fd, shedRetryAfterSec)
-				continue
-			}
-			w := s.shards[rr%len(s.shards)]
-			rr++
-			w.give(fd)
 		}
 		if hb != nil {
 			hb.End()
 		}
+		if !alive {
+			return // listener closed
+		}
 	}
 }
 
-// shedRetryAfterSec is the Retry-After advertised on sheds not governed
-// by an admission controller (the static MaxConns ceiling).
-const shedRetryAfterSec = 1
-
-// shedConn answers an over-limit accept with a best-effort 503 — with
-// Retry-After and Connection: close, so a well-behaved client backs off
-// instead of hammering — and an immediate close. The socket is fresh, so
-// the non-blocking write of the short header virtually always lands in
-// the empty send buffer.
-func shedConn(lane sysfault.Lane, fd int, retryAfterSec int) {
-	resp := httpwire.AppendResponseHeaderExtra(nil, 503, "text/plain", 0, false,
-		httpwire.Header{Name: "Retry-After", Value: strconv.Itoa(retryAfterSec)})
-	_, _, _ = reactor.Write(lane, fd, resp)
-	reactor.CloseFD(lane, fd)
-}
-
-// docrootPressureEvictions is how many cached entries (and so shared
-// file descriptors) the accepting thread asks the docroot to give back
-// per EMFILE event — enough to make real room, small enough not to
-// dump a warm cache over one transient spike.
-const docrootPressureEvictions = 8
-
-// recoverFDExhaustion is the reserve-descriptor dance: close the
-// reserve to free one slot, accept the connection the kernel is
-// holding, answer it 503 + Retry-After so the client backs off
-// instead of timing out in silence, close it, and re-open the
-// reserve. Without this, the pending connection would sit in the
-// accept queue until a descriptor freed by chance. When a docroot is
-// configured, the cache is also asked to shed a few entries — cached
-// content pins file descriptors, and under EMFILE giving those back
-// attacks the exhaustion itself rather than just the symptom. The
-// caller passes its own lane, listener, reserve slot, counters, and
-// observability view: the fan-out acceptor and every reuseport shard
-// run the identical recovery against their own listener.
-func (s *Server) recoverFDExhaustion(lane sysfault.Lane, lfd int, reserve *int, st *statBlock, v *obs.View) {
-	if dr := s.cfg.Docroot; dr != nil {
-		dr.ShedFDs(docrootPressureEvictions)
-	}
-	if *reserve < 0 {
+// handoff is the fan-out acceptor's adopt hook: it transfers an
+// admitted fd to the next shard round-robin over its SPSC ring and
+// wakes the shard (Selector.wakeup semantics). The fd already holds a
+// connsOpen slot, so a full ring gives the slot back.
+func (s *Server) handoff(fd int, at time.Time) {
+	w := s.shards[s.rr%len(s.shards)]
+	s.rr++
+	if !w.ring.push(pendingConn{fd: fd, at: at}) {
+		// Ring overflow: shed the connection rather than block the
+		// acceptor; this mirrors a full pending-registration queue.
+		reactor.CloseFD(0, fd)
+		s.connsOpen.add(-1)
 		return
 	}
-	reactor.CloseFD(lane, *reserve)
-	*reserve = -1
-	fd, done, err := reactor.Accept(lane, lfd)
-	if err == nil && !done && fd >= 0 {
-		st.shed.add(1)
-		if v != nil {
-			v.Record(0, obs.Shed, 0)
-		}
-		shedConn(lane, fd, shedRetryAfterSec)
-	}
-	*reserve = openReserve()
-}
-
-// Accept-gate backoff bounds: exponential from 5ms, capped at 250ms,
-// reset to zero by any successful accept.
-const (
-	acceptBackoffMin = 5 * time.Millisecond
-	acceptBackoffMax = 250 * time.Millisecond
-)
-
-// acceptGate pauses the fan-out acceptor after a resource-exhausted
-// accept, doubling the pause up to the cap. It returns the next
-// backoff to use, or a negative duration if the server is stopping.
-// The heartbeat span is closed across the pause — a gated acceptor is
-// parked, not wedged, and must not trip the watchdog. (Reuseport
-// shards gate differently — they must never block their event loop —
-// see shard.gateAccept.)
-func (s *Server) acceptGate(hb *overload.Heartbeat, backoff time.Duration) time.Duration {
-	if backoff < acceptBackoffMin {
-		backoff = acceptBackoffMin
-	} else if backoff *= 2; backoff > acceptBackoffMax {
-		backoff = acceptBackoffMax
-	}
-	s.acceptStats.acceptBackoffs.add(1)
-	if hb != nil {
-		hb.End()
-	}
-	defer func() {
-		if hb != nil {
-			hb.Begin()
-		}
-	}()
-	select {
-	case <-s.stopping:
-		return -1
-	case <-s.draining:
-		return -1
-	case <-time.After(backoff):
-		return backoff
-	}
+	w.poller.Wakeup()
 }
 
 // outSeg is one element of a connection's pending output: either a byte
@@ -820,7 +691,7 @@ type conn struct {
 // shard is one reactor event loop: its own poller (epoll fd + wakeup
 // pipe), its own connection table, timer wheel, scratch buffers,
 // counters, observability view, and deterministic fault lane. In
-// reuseport mode it also owns a listening socket and accepts directly;
+// reuseport mode it also runs an acceptor on its own listening socket;
 // under fan-out it receives accepted fds over its SPSC ring.
 type shard struct {
 	srv    *Server
@@ -833,12 +704,10 @@ type shard struct {
 	// counts are shared (lock-free), phase histograms are per-shard
 	// blocks merged at read time. nil when Config.Obs is nil.
 	obs *obs.View
-	// lfd is this shard's own SO_REUSEPORT listener; -1 under fan-out
-	// or once the listener has been closed (drain, fatal accept error).
-	lfd int
-	// reserve is this shard's EMFILE reserve descriptor (reuseport
-	// mode; -1 under fan-out, where the acceptor holds the reserve).
-	reserve int
+	// acc accepts from this shard's own SO_REUSEPORT listener (nil
+	// under fan-out). A dead listener is closed inside it; the shard
+	// keeps serving its connections and its siblings keep accepting.
+	acc *reactor.Acceptor
 	// ring is the SPSC handoff from the acceptor (fan-out mode; nil in
 	// reuseport mode).
 	ring *spscRing
@@ -871,57 +740,41 @@ type shard struct {
 	// is configured).
 	//nio:loop-owned
 	wheel *timerWheel
-	// Accept-gate state (reuseport mode): after a resource-exhausted
-	// accept the listener is REMOVED from the interest set and re-added
-	// when the gate expires — the loop must keep serving its existing
-	// connections, so it can never park in a blocking sleep the way the
-	// dedicated acceptor thread does.
-	//nio:loop-owned
-	acceptGated bool
-	//nio:loop-owned
-	gateUntil time.Time
-	//nio:loop-owned
-	gateBackoff time.Duration
 }
 
 func newShard(s *Server, idx int) (*shard, error) {
-	lane := sysfault.Lane(0)
-	if s.cfg.Shards > 0 {
-		// Shard i draws fault decisions from lane i: independent
-		// deterministic streams per loop, with shard 0 on the legacy
-		// stream so a single-shard server replays byte-identically to
-		// the pre-sharding server. Legacy Workers mode keeps every
-		// loop on lane 0, the historical behavior.
-		lane = sysfault.Lane(idx)
-	}
+	// Shard i draws fault decisions from lane i: independent
+	// deterministic streams per loop, with shard 0 on the legacy stream
+	// so a single-shard server replays byte-identically to the
+	// pre-sharding server.
+	lane := sysfault.Lane(idx)
 	p, err := reactor.NewPollerLane(1024, lane)
 	if err != nil {
 		return nil, err
 	}
 	w := &shard{
-		srv:     s,
-		idx:     idx,
-		lane:    lane,
-		poller:  p,
-		stats:   &statBlock{},
-		lfd:     -1,
-		reserve: -1,
-		conns:   make(map[int]*conn),
-		buf:     make([]byte, s.cfg.ReadBuf),
-		wheel:   newTimerWheel(s.cfg, time.Now()),
+		srv:    s,
+		idx:    idx,
+		lane:   lane,
+		poller: p,
+		stats:  &statBlock{},
+		conns:  make(map[int]*conn),
+		buf:    make([]byte, s.cfg.ReadBuf),
+		wheel:  newTimerWheel(s.cfg, time.Now()),
+	}
+	if pl := s.cfg.Obs; pl != nil {
+		w.obs = pl.View(idx)
 	}
 	if s.fanout {
 		w.ring = newSPSCRing(4096)
 	} else {
-		w.lfd = s.shardLfds[idx]
-		if err := p.Add(w.lfd, true, false); err != nil {
+		acc, err := s.newAcceptor(s.shardLfds[idx], p, w, w.adopt)
+		if err != nil {
 			p.Close()
 			return nil, err
 		}
-		w.reserve = openReserve()
-	}
-	if pl := s.cfg.Obs; pl != nil {
-		w.obs = pl.View(idx)
+		s.shardLfds[idx] = -1 // the acceptor owns it now
+		w.acc = acc
 	}
 	if wd := s.cfg.Watchdog; wd != nil {
 		w.hb = wd.Register(fmt.Sprintf("core-worker-%d", idx))
@@ -935,20 +788,6 @@ func newShard(s *Server, idx int) (*shard, error) {
 type pendingConn struct {
 	fd int
 	at time.Time
-}
-
-// give transfers an accepted fd to this shard (called from the acceptor
-// thread; Selector.wakeup semantics). The acceptor has already counted
-// the connection in connsOpen, so every failure path must uncount it.
-func (w *shard) give(fd int) {
-	if !w.ring.push(pendingConn{fd: fd, at: time.Now()}) {
-		// Ring overflow: shed the connection rather than block the
-		// acceptor; this mirrors a full pending-registration queue.
-		reactor.CloseFD(0, fd)
-		w.srv.connsOpen.add(-1)
-		return
-	}
-	w.poller.Wakeup()
 }
 
 // loop is the shard thread body: a classic reactor loop.
@@ -990,7 +829,6 @@ func (w *shard) loop() {
 			return // drained: every in-flight response has flushed
 		}
 		now := time.Now()
-		w.reArmAccept(now)
 		// The poller wait is a legitimate park, not work: close the
 		// heartbeat span so an idle loop is never mistaken for a wedge.
 		if w.hb != nil {
@@ -1006,9 +844,9 @@ func (w *shard) loop() {
 		now = time.Now()
 		w.advanceWheel(now)
 		for _, ev := range evs {
-			if w.lfd >= 0 && ev.FD == w.lfd {
+			if w.acc != nil && ev.FD == w.acc.FD() {
 				if !w.draining {
-					w.acceptReady(now)
+					w.acc.Ready(now)
 				}
 				continue
 			}
@@ -1041,116 +879,22 @@ func (w *shard) waitMs(now time.Time) int {
 			ms = 1
 		}
 	}
-	if w.acceptGated {
-		g := int(w.gateUntil.Sub(now).Milliseconds()) + 1
-		if g < 1 {
-			g = 1
-		}
-		if ms < 0 || g < ms {
-			ms = g
-		}
+	if w.acc != nil {
+		// A listener that dies re-arming is dropped: this shard keeps
+		// serving its connections and its siblings keep accepting.
+		ms, _ = w.acc.Arm(now, ms)
 	}
 	return ms
-}
-
-// acceptReady drains this shard's own listener — the reuseport accept
-// path, running ON the event loop, so every error is absorbed without
-// ever blocking: exhaustion gates the listener (poller removal + timed
-// re-add), it never sleeps.
-func (w *shard) acceptReady(now time.Time) {
-	s := w.srv
-	for {
-		fd, done, err := reactor.Accept(w.lane, w.lfd)
-		if err != nil {
-			if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
-				w.stats.acceptEMFILE.add(1)
-				s.recoverFDExhaustion(w.lane, w.lfd, &w.reserve, w.stats, w.obs)
-				w.gateAccept(now)
-				return
-			}
-			if errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM) {
-				w.gateAccept(now)
-				return
-			}
-			// Listener broken: drop it. The shard keeps serving its
-			// existing connections; its siblings keep accepting.
-			if !w.acceptGated {
-				w.poller.Remove(w.lfd)
-			}
-			reactor.CloseFD(w.lane, w.lfd)
-			w.lfd = -1
-			w.acceptGated = false
-			return
-		}
-		if done {
-			return
-		}
-		if fd < 0 {
-			continue // transient (ECONNABORTED): the peer gave up first
-		}
-		w.gateBackoff = 0
-		w.stats.accepted.add(1)
-		if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
-			w.stats.shed.add(1)
-			if v := w.obs; v != nil {
-				v.Record(0, obs.Shed, 0)
-			}
-			shedConn(w.lane, fd, ac.RetryAfterSeconds())
-			continue
-		}
-		if !s.tryAcquireConn() {
-			w.stats.shed.add(1)
-			if v := w.obs; v != nil {
-				v.Record(0, obs.Shed, 0)
-			}
-			shedConn(w.lane, fd, shedRetryAfterSec)
-			continue
-		}
-		w.adopt(fd, now)
-	}
-}
-
-// gateAccept pauses this shard's accepting after a resource-exhausted
-// accept: the listener leaves the interest set (level-triggered, it
-// would wake the loop hot otherwise) and reArmAccept restores it when
-// the exponential backoff expires. Unlike the acceptor thread's gate
-// this never blocks — the loop keeps serving its connections.
-func (w *shard) gateAccept(now time.Time) {
-	b := w.gateBackoff
-	if b < acceptBackoffMin {
-		b = acceptBackoffMin
-	} else if b *= 2; b > acceptBackoffMax {
-		b = acceptBackoffMax
-	}
-	w.gateBackoff = b
-	w.stats.acceptBackoffs.add(1)
-	if !w.acceptGated {
-		w.acceptGated = true
-		w.poller.Remove(w.lfd)
-	}
-	w.gateUntil = now.Add(b)
-}
-
-// reArmAccept restores a gated listener to the interest set once the
-// backoff has expired.
-func (w *shard) reArmAccept(now time.Time) {
-	if !w.acceptGated || now.Before(w.gateUntil) {
-		return
-	}
-	w.acceptGated = false
-	if w.lfd >= 0 && !w.draining {
-		if err := w.poller.Add(w.lfd, true, false); err != nil {
-			reactor.CloseFD(w.lane, w.lfd)
-			w.lfd = -1
-		}
-	}
 }
 
 // adopt registers a freshly accepted (or ring-delivered) connection
 // with this shard: conn state, poller interest, observability birth
 // events, and its first timer-wheel deadline. at is the accept stamp;
 // for ring deliveries the gap to now is the fan-out ride the
-// queue-wait phase accounts for.
+// queue-wait phase accounts for. In reuseport mode it is the
+// acceptor's adopt hook.
+//
+//nio:loop
 func (w *shard) adopt(fd int, at time.Time) {
 	now := time.Now()
 	c := &conn{fd: fd, lastActive: now, headerStart: now, acceptedAt: at}
@@ -1168,6 +912,15 @@ func (w *shard) adopt(fd int, at time.Time) {
 	w.scheduleTimeout(c, now)
 }
 
+// recordShed is the acceptor's shed hook: a 503 refusal that never
+// enters the connection lifecycle, traced as conn 0.
+func (w *shard) recordShed() {
+	w.stats.shed.add(1)
+	if v := w.obs; v != nil {
+		v.Record(0, obs.Shed, 0)
+	}
+}
+
 // assertInterest checks the reactor's connection table against the
 // poller's interest-set shadow — only under -tags invariants, where the
 // shadow is real. Every registered connection must be in the kernel's
@@ -1181,7 +934,7 @@ func (w *shard) assertInterest() {
 			"core: conn fd %d in table but missing from epoll interest set", fd)
 	}
 	expected := len(w.conns) + 1
-	if w.lfd >= 0 && !w.acceptGated {
+	if w.acc != nil && w.acc.Armed() {
 		expected++
 	}
 	invariant.Assertf(w.poller.InterestCount() == expected,
@@ -1195,13 +948,8 @@ func (w *shard) assertInterest() {
 // responses flush.
 func (w *shard) beginDrain() {
 	w.draining = true
-	if w.lfd >= 0 {
-		if !w.acceptGated {
-			w.poller.Remove(w.lfd)
-		}
-		reactor.CloseFD(w.lane, w.lfd)
-		w.lfd = -1
-		w.acceptGated = false
+	if w.acc != nil {
+		w.acc.Close()
 	}
 	for _, c := range w.conns {
 		if len(c.out) == 0 {
@@ -1224,16 +972,8 @@ func (w *shard) shutdown() {
 		releaseOut(c)
 	}
 	w.conns = nil
-	if w.lfd >= 0 {
-		if !w.acceptGated {
-			w.poller.Remove(w.lfd)
-		}
-		reactor.CloseFD(w.lane, w.lfd)
-		w.lfd = -1
-	}
-	if w.reserve >= 0 {
-		reactor.CloseFD(w.lane, w.reserve)
-		w.reserve = -1
+	if w.acc != nil {
+		w.acc.Close()
 	}
 	// Connections handed over but never registered still hold a
 	// connsOpen slot; release them too.
@@ -1518,12 +1258,8 @@ func (w *shard) flush(c *conn) {
 				seg.fallback = true
 				continue
 			}
-			w.stats.bytesOut.add(int64(n))
+			w.wrote(c, n)
 			w.stats.sendfileBytes.add(int64(n))
-			if v != nil && n > 0 && !c.firstByte {
-				c.firstByte = true
-				v.Record(c.obsID, obs.FirstByte, time.Since(c.acceptedAt))
-			}
 			if seg.off >= seg.end {
 				seg.ent.Release()
 				c.out[0] = outSeg{}
@@ -1542,7 +1278,7 @@ func (w *shard) flush(c *conn) {
 			// ordinary non-blocking write path. A partial write just
 			// advances off; the next pass re-reads from there, so
 			// idempotence is free.
-			if !w.flushFallback(c, seg, v) {
+			if !w.flushFallback(c, seg) {
 				return
 			}
 			continue
@@ -1550,25 +1286,10 @@ func (w *shard) flush(c *conn) {
 		head := seg.buf[c.outOff:]
 		n, again, err := reactor.Write(w.lane, c.fd, head)
 		if err != nil {
-			if errors.Is(err, syscall.ENOBUFS) {
-				// Transient kernel buffer exhaustion is a stall, not a
-				// failure: keep the queue, re-arm write interest, retry
-				// when the loop next signals writability.
-				w.stats.writeStalls.add(1)
-				w.armWrite(c)
-				return
-			}
-			if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
-				w.stats.writeResets.add(1)
-			}
-			w.closeConn(c)
+			w.writeFailed(c, err)
 			return
 		}
-		w.stats.bytesOut.add(int64(n))
-		if v != nil && n > 0 && !c.firstByte {
-			c.firstByte = true
-			v.Record(c.obsID, obs.FirstByte, time.Since(c.acceptedAt))
-		}
+		w.wrote(c, n)
 		if n == len(head) {
 			c.out[0] = outSeg{}
 			c.out = c.out[1:]
@@ -1609,7 +1330,7 @@ const fallbackChunk = 64 << 10
 // outSeg.fallback). It reports whether flush may continue with the
 // queue; false means the connection was torn down or the socket
 // blocked (write interest armed) and flush must return.
-func (w *shard) flushFallback(c *conn, seg *outSeg, v *obs.View) bool {
+func (w *shard) flushFallback(c *conn, seg *outSeg) bool {
 	if w.fbuf == nil {
 		w.fbuf = make([]byte, fallbackChunk)
 	}
@@ -1628,23 +1349,11 @@ func (w *shard) flushFallback(c *conn, seg *outSeg, v *obs.View) bool {
 	}
 	n, again, err := reactor.Write(w.lane, c.fd, chunk[:rn])
 	if err != nil {
-		if errors.Is(err, syscall.ENOBUFS) {
-			w.stats.writeStalls.add(1)
-			w.armWrite(c)
-			return false
-		}
-		if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
-			w.stats.writeResets.add(1)
-		}
-		w.closeConn(c)
+		w.writeFailed(c, err)
 		return false
 	}
 	seg.off += int64(n)
-	w.stats.bytesOut.add(int64(n))
-	if v != nil && n > 0 && !c.firstByte {
-		c.firstByte = true
-		v.Record(c.obsID, obs.FirstByte, time.Since(c.acceptedAt))
-	}
+	w.wrote(c, n)
 	if seg.off >= seg.end {
 		seg.ent.Release()
 		c.out[0] = outSeg{}
@@ -1656,6 +1365,34 @@ func (w *shard) flushFallback(c *conn, seg *outSeg, v *obs.View) bool {
 		return false
 	}
 	return true
+}
+
+// wrote counts n bytes written to c and traces its first response
+// byte.
+//
+//nio:hot
+func (w *shard) wrote(c *conn, n int) {
+	w.stats.bytesOut.add(int64(n))
+	if v := w.obs; v != nil && n > 0 && !c.firstByte {
+		c.firstByte = true
+		v.Record(c.obsID, obs.FirstByte, time.Since(c.acceptedAt))
+	}
+}
+
+// writeFailed handles a failed write. Transient kernel buffer
+// exhaustion (ENOBUFS) is a stall, not a failure: keep the queue,
+// re-arm write interest, retry when the loop next signals writability.
+// Anything else tears the connection down.
+func (w *shard) writeFailed(c *conn, err error) {
+	if errors.Is(err, syscall.ENOBUFS) {
+		w.stats.writeStalls.add(1)
+		w.armWrite(c)
+		return
+	}
+	if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
+		w.stats.writeResets.add(1)
+	}
+	w.closeConn(c)
 }
 
 // observeFirst feeds the admission controller the connection's

@@ -242,9 +242,10 @@ func TestManyConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestMultipleWorkers(t *testing.T) {
+func TestFanoutMultipleShards(t *testing.T) {
 	cfg := DefaultConfig(testStore())
-	cfg.Workers = 4
+	cfg.Shards = 4
+	cfg.AcceptFanout = true // one acceptor, four workers
 	s := startServer(t, cfg)
 	for i := 0; i < 12; i++ {
 		resp, _ := httpGet(t, s.Addr(), "/hello")
@@ -278,11 +279,11 @@ func TestAbruptClientCloseCleansUp(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	store := testStore()
 	bad := []Config{
-		{Workers: 0, Backlog: 1, ReadBuf: 4096, Store: store},
-		{Workers: 1, Backlog: 0, ReadBuf: 4096, Store: store},
-		{Workers: 1, Backlog: 1, ReadBuf: 8, Store: store},
-		{Workers: 1, Backlog: 1, ReadBuf: 4096, Store: nil},
-		{Workers: 1, Backlog: 1, ReadBuf: 4096, Store: store, Port: -2},
+		{Shards: 0, Backlog: 1, ReadBuf: 4096, Store: store},
+		{Shards: 1, Backlog: 0, ReadBuf: 4096, Store: store},
+		{Shards: 1, Backlog: 1, ReadBuf: 8, Store: store},
+		{Shards: 1, Backlog: 1, ReadBuf: 4096, Store: nil},
+		{Shards: 1, Backlog: 1, ReadBuf: 4096, Store: store, Port: -2},
 	}
 	for i, cfg := range bad {
 		if _, err := NewServer(cfg); err == nil {

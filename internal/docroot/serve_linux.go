@@ -28,6 +28,13 @@ const sendfileChunk = 1 << 20
 // can count the degradation. Peer-death errors (ECONNRESET, EPIPE)
 // are returned as-is — there is no one left to deliver to.
 func SendfileTo(conn Writer, e *Entry) (n int64, fellBack bool, err error) {
+	return SendfileToNotify(conn, e, nil)
+}
+
+// SendfileToNotify is SendfileTo with a hook that runs once, before the
+// buffered fallback writes its first byte, so a server's fallback
+// counter is published before the client can have the whole body.
+func SendfileToNotify(conn Writer, e *Entry, onFallback func()) (n int64, fellBack bool, err error) {
 	sc, ok := conn.(syscall.Conn)
 	if !ok {
 		n, err = copyTo(conn, e)
@@ -72,6 +79,9 @@ func SendfileTo(conn Writer, e *Entry) (n int64, fellBack bool, err error) {
 	}
 	if serr != nil && serr != io.ErrUnexpectedEOF &&
 		!errors.Is(serr, syscall.ECONNRESET) && !errors.Is(serr, syscall.EPIPE) {
+		if onFallback != nil {
+			onFallback()
+		}
 		copied, cerr := copyToFrom(conn, e, sent)
 		return sent + copied, true, cerr
 	}

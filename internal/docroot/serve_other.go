@@ -8,3 +8,9 @@ func SendfileTo(conn Writer, e *Entry) (int64, bool, error) {
 	n, err := copyTo(conn, e)
 	return n, false, err
 }
+
+// SendfileToNotify is SendfileTo; there is no fast path to fall back
+// from, so onFallback never runs.
+func SendfileToNotify(conn Writer, e *Entry, onFallback func()) (int64, bool, error) {
+	return SendfileTo(conn, e)
+}

@@ -323,10 +323,14 @@ func (p *Proxy) sleep(d time.Duration) bool {
 }
 
 // forward is the transparent fast path for a direction with no
-// discipline: one synchronous write, no segmentation.
+// discipline: one synchronous write, no segmentation. The count is
+// published before the bytes leave (see pacer.send).
 func (p *Proxy) forward(dst net.Conn, buf []byte, counter *metrics.Counter) error {
+	counter.Add(int64(len(buf)))
 	n, err := dst.Write(buf)
-	counter.Add(int64(n))
+	if err != nil {
+		counter.Add(int64(n - len(buf)))
+	}
 	return err
 }
 

@@ -439,10 +439,14 @@ func (pc *pacer) send(dst writeConn, chunk []byte, bytes *metrics.Counter) bool 
 		if !pc.p.sleepUntil(pc.txAt) {
 			return false
 		}
-		wn, err := dst.Write(chunk[:n])
-		bytes.Add(int64(wn))
+		// Publish the count before the bytes leave, so a sink that has
+		// seen them all never reads a short counter; a failed write takes
+		// back what it did not deliver.
+		bytes.Add(int64(n))
 		pc.lc.segments.Inc()
+		wn, err := dst.Write(chunk[:n])
 		if err != nil {
+			bytes.Add(int64(wn - n))
 			return false
 		}
 		chunk = chunk[n:]
@@ -500,11 +504,13 @@ func (p *Proxy) linkWriter(dst writeConn, lk Link, ch <-chan frag, bytes *metric
 			failed = true
 			continue
 		}
-		if _, err := dst.Write(fr.data); err != nil {
+		// Counted before the write, as in pacer.send.
+		bytes.Add(int64(len(fr.data)))
+		if wn, err := dst.Write(fr.data); err != nil {
+			bytes.Add(int64(wn - len(fr.data)))
 			failed = true
 			continue
 		}
-		bytes.Add(int64(len(fr.data)))
 		floor = deliverAt
 	}
 	if !failed && fin != nil {

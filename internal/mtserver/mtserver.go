@@ -738,12 +738,7 @@ func (s *Server) serve(conn net.Conn, req *httpwire.Request, out *[]byte, cs *co
 			}
 		}
 	}
-	if !s.write(conn, *out, cs) {
-		return false
-	}
-	s.replies.Add(1)
-	s.observeReply(cs)
-	return req.KeepAlive
+	return s.finish(conn, *out, req.KeepAlive, cs)
 }
 
 // serveDocroot answers one request from the disk-backed docroot:
@@ -782,13 +777,14 @@ func (s *Server) serveDocroot(conn net.Conn, req *httpwire.Request, out *[]byte,
 		return false
 	}
 	t0 := time.Now()
-	n, fellBack, err := docroot.SendfileTo(conn, ent)
+	// The reply and a fallback are counted before the body leaves, so a
+	// client that has the whole body also sees the counters; a failed
+	// delivery takes the reply back.
+	s.replies.Add(1)
+	n, fellBack, err := docroot.SendfileToNotify(conn, ent, func() { s.sendfileFallbacks.Add(1) })
 	s.bytesOut.Add(n)
-	if fellBack {
-		// The body completed over the buffered path; the degradation is
-		// counted, and the bytes stay out of the zero-copy tally.
-		s.sendfileFallbacks.Add(1)
-	} else {
+	if !fellBack {
+		// Fallback bytes stay out of the zero-copy tally.
 		s.sendfileBytes.Add(n)
 	}
 	if pl := s.cfg.Obs; pl != nil && n > 0 {
@@ -798,19 +794,22 @@ func (s *Server) serveDocroot(conn net.Conn, req *httpwire.Request, out *[]byte,
 		pl.Record(cs.id, obs.WriteComplete, time.Since(t0))
 	}
 	if err != nil {
+		s.replies.Add(-1)
 		return false
 	}
-	s.replies.Add(1)
 	s.observeReply(cs)
 	return req.KeepAlive
 }
 
-// finish writes a fully assembled response and counts the reply.
+// finish writes a fully assembled response and counts the reply. The
+// count is published before the bytes leave, so a client that has the
+// response also sees it; a failed write takes it back.
 func (s *Server) finish(conn net.Conn, data []byte, keepAlive bool, cs *connState) bool {
+	s.replies.Add(1)
 	if !s.write(conn, data, cs) {
+		s.replies.Add(-1)
 		return false
 	}
-	s.replies.Add(1)
 	s.observeReply(cs)
 	return keepAlive
 }

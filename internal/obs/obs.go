@@ -131,10 +131,6 @@ type Ring struct {
 	slots []slot
 	mask  uint64
 	next  atomic.Uint64
-	// skipped counts events dropped because their slot was still owned
-	// by a straggling writer when the ring lapped it (vanishingly rare:
-	// it needs a full ring wrap inside one writer's store sequence).
-	skipped atomic.Uint64
 }
 
 // NewRing returns a tracer retaining at least capacity events (rounded
@@ -159,8 +155,11 @@ func (r *Ring) Record(at time.Duration, conn uint64, k Kind, v time.Duration) {
 	seq := s.seq.Load()
 	if seq&1 != 0 || !s.seq.CompareAndSwap(seq, seq+1) {
 		// A lapped writer still owns the slot; drop rather than spin —
-		// the hot path never waits on the observability plane.
-		r.skipped.Add(1)
+		// the hot path never waits on the observability plane. The
+		// straggler's older event stays in the slot, so the ring still
+		// holds Cap events and the loss is one Dropped already counts
+		// as evicted (vanishingly rare: it needs a full ring wrap inside
+		// one writer's store sequence).
 		return
 	}
 	s.at.Store(int64(at))
@@ -179,14 +178,14 @@ func (r *Ring) Len() int {
 	return int(n)
 }
 
-// Dropped returns how many events were evicted or skipped.
+// Dropped returns how many recorded events the ring no longer holds:
+// Len() + Dropped() is the number of Record calls.
 func (r *Ring) Dropped() uint64 {
 	n := r.next.Load()
-	var evicted uint64
 	if c := uint64(len(r.slots)); n > c {
-		evicted = n - c
+		return n - c
 	}
-	return evicted + r.skipped.Load()
+	return 0
 }
 
 // Events returns the retained events, oldest first. Events recorded

@@ -222,11 +222,12 @@ func (c *counter) get() int64  { return c.v.Load() }
 // sharded N-loop arrangement).
 type Server struct {
 	cfg    Config
-	lfd    int
 	port   int
 	lane   sysfault.Lane
 	obs    *obs.View
 	poller *reactor.Poller
+	// acc is the listener's accept pipeline on the loop's poller.
+	acc *reactor.Acceptor
 
 	backends []*Backend
 	pick     *picker
@@ -243,9 +244,6 @@ type Server struct {
 	//nio:loop-owned
 	resps []*httpwire.Response
 
-	accepted   counter
-	acceptEM   counter
-	acceptBack counter
 	localRes   counter
 	prewarms   counter
 	replies    counter
@@ -264,38 +262,12 @@ type Server struct {
 	ejections  counter
 	readmiss   counter
 
-	// Accept-side fd-exhaustion machinery (loop-thread-owned). The
-	// reserve descriptor is burned and re-opened to drain the accept
-	// queue under EMFILE; the gate parks the listener outside the
-	// poller so a level-triggered readable listener cannot hot-spin
-	// the event loop while the process is out of descriptors.
-	//nio:loop-owned
-	reserveFD int
-	//nio:loop-owned
-	acceptGated bool
-	//nio:loop-owned
-	acceptGateUntil time.Time
-	//nio:loop-owned
-	acceptBackoff time.Duration
-
-	wg        sync.WaitGroup
-	started   bool
-	stopping  chan struct{}
-	stopOnce  sync.Once
-	draining  atomic.Bool
-	drained   chan struct{}
-	lfdClosed bool
-}
-
-// openReserve opens the fd-exhaustion reserve descriptor (see
-// Server.reserveFD). A failure to open it (-1) only disables the
-// recovery, never the tier.
-func openReserve() int {
-	fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-	if err != nil {
-		return -1
-	}
-	return fd
+	wg       sync.WaitGroup
+	started  bool
+	stopping chan struct{}
+	stopOnce sync.Once
+	draining atomic.Bool
+	drained  chan struct{}
 }
 
 // dconn is one downstream (client) connection.
@@ -384,20 +356,33 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		lfd:       lfd,
-		port:      port,
-		lane:      cfg.Lane,
-		poller:    p,
-		dconns:    make(map[int]*dconn),
-		uconns:    make(map[int]*uconn),
-		buf:       make([]byte, cfg.ReadBuf),
-		reserveFD: openReserve(),
-		stopping:  make(chan struct{}),
-		drained:   make(chan struct{}),
+		cfg:      cfg,
+		port:     port,
+		lane:     cfg.Lane,
+		poller:   p,
+		dconns:   make(map[int]*dconn),
+		uconns:   make(map[int]*uconn),
+		buf:      make([]byte, cfg.ReadBuf),
+		stopping: make(chan struct{}),
+		drained:  make(chan struct{}),
 	}
 	if pl := cfg.Obs; pl != nil {
 		s.obs = pl.View(cfg.Shard)
+	}
+	s.acc, err = reactor.NewAcceptor(reactor.AcceptConfig{
+		Listener:      lfd,
+		Poller:        p,
+		Admission:     cfg.Admission,
+		RetryAfterSec: cfg.RetryAfterSec,
+		ShedHeaders:   []httpwire.Header{{Name: "Via", Value: ViaToken}},
+		Acquire:       s.acquireConn,
+		Adopt:         s.adopt,
+		OnShed:        s.recordShed,
+	})
+	if err != nil {
+		p.Close()
+		reactor.CloseFD(cfg.Lane, lfd)
+		return nil, fmt.Errorf("proxy: register listener: %w", err)
 	}
 	s.backends = make([]*Backend, len(cfg.Backends))
 	for i, bc := range cfg.Backends {
@@ -423,8 +408,9 @@ func (s *Server) Backends() []*Backend { return s.backends }
 
 // Stats snapshots the tier counters.
 func (s *Server) Stats() Stats {
+	ac := s.acc.Counts()
 	return Stats{
-		Accepted:        s.accepted.get(),
+		Accepted:        ac.Accepted,
 		Replies:         s.replies.get(),
 		BytesIn:         s.bytesIn.get(),
 		BytesOut:        s.bytesOut.get(),
@@ -440,8 +426,8 @@ func (s *Server) Stats() Stats {
 		UpstreamRetries: s.retries.get(),
 		Ejections:       s.ejections.get(),
 		Readmissions:    s.readmiss.get(),
-		AcceptEMFILE:    s.acceptEM.get(),
-		AcceptBackoffs:  s.acceptBack.get(),
+		AcceptEMFILE:    ac.EMFILE,
+		AcceptBackoffs:  ac.Backoffs,
 		LocalResErrors:  s.localRes.get(),
 		Prewarms:        s.prewarms.get(),
 	}
@@ -477,9 +463,6 @@ func StatsFields(st Stats) []obs.Field {
 
 // Start launches the event loop and the per-backend probers.
 func (s *Server) Start() error {
-	if err := s.poller.Add(s.lfd, true, false); err != nil {
-		return fmt.Errorf("proxy: register listener: %w", err)
-	}
 	s.started = true
 	s.wg.Add(1)
 	go s.loop()
@@ -497,11 +480,13 @@ func (s *Server) Start() error {
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stopping)
-		if !s.started && s.reserveFD >= 0 { //nio:ok loopown -- pre-start: the loop never launched, so nothing owns the reserve yet
+		if !s.started {
 			// Never started: the loop's teardown will not run, so the
-			// reserve descriptor must be released here or it leaks.
-			reactor.CloseFD(s.lane, s.reserveFD) //nio:ok loopown -- pre-start teardown (see above)
-			s.reserveFD = -1                     //nio:ok loopown -- pre-start teardown (see above)
+			// listener, reserve and poller must be released here or
+			// they leak.
+			s.acc.Close()
+			s.poller.Close()
+			return
 		}
 		s.poller.Wakeup()
 	})
@@ -552,57 +537,35 @@ func (s *Server) loop() {
 		default:
 		}
 		draining := s.draining.Load()
-		if draining && !s.lfdClosed {
-			if !s.acceptGated {
-				s.poller.Remove(s.lfd)
+		waitMs := -1
+		if draining {
+			s.acc.Close()
+			// Idle keep-alive clients would hold the drain open forever;
+			// close every connection with nothing in flight.
+			for _, d := range s.dconns {
+				if d.active == nil && len(d.pending) == 0 && len(d.out) == 0 {
+					s.closeD(d)
+				}
 			}
-			s.acceptGated = false
-			reactor.CloseFD(s.lane, s.lfd)
-			s.lfdClosed = true
-		}
-		if !draining {
+			if len(s.dconns) == 0 {
+				select {
+				case <-s.drained:
+				default:
+					close(s.drained)
+				}
+				return
+			}
+			waitMs = 20
+		} else {
 			for _, b := range s.backends {
 				if b.prewarmReq.CompareAndSwap(true, false) {
 					s.prewarmBackend(b)
 				}
 			}
 		}
-		if draining {
-			// Idle keep-alive clients would hold the drain open forever;
-			// close every connection with nothing in flight.
-			var idle []*dconn
-			for _, d := range s.dconns {
-				if d.active == nil && len(d.pending) == 0 && len(d.out) == 0 {
-					idle = append(idle, d)
-				}
-			}
-			for _, d := range idle {
-				s.closeD(d)
-			}
-		}
-		if draining && len(s.dconns) == 0 {
-			select {
-			case <-s.drained:
-			default:
-				close(s.drained)
-			}
+		waitMs, ok := s.acc.Arm(time.Now(), waitMs)
+		if !ok {
 			return
-		}
-		waitMs := -1
-		if draining {
-			waitMs = 20
-		}
-		if s.acceptGated && !s.lfdClosed {
-			if rem := time.Until(s.acceptGateUntil); rem <= 0 {
-				// Gate expired: put the listener back in the poller.
-				if err := s.poller.Add(s.lfd, true, false); err != nil {
-					return
-				}
-				s.acceptGated = false
-			} else if ms := int(rem/time.Millisecond) + 1; waitMs < 0 || ms < waitMs {
-				// Wake when the gate expires, not before the next event.
-				waitMs = ms
-			}
 		}
 		if hb != nil {
 			hb.End()
@@ -615,9 +578,9 @@ func (s *Server) loop() {
 			return
 		}
 		for _, ev := range evs {
-			if ev.FD == s.lfd && !s.lfdClosed {
-				if !s.acceptAll() {
-					return
+			if ev.FD == s.acc.FD() {
+				if !s.acc.Ready(time.Now()) {
+					return // the listener died
 				}
 				continue
 			}
@@ -666,139 +629,48 @@ func (s *Server) teardown() {
 		u.b.open.Add(-1)
 	}
 	s.uconns = make(map[int]*uconn)
+	s.acc.Close()
 	s.poller.Close()
-	if !s.lfdClosed {
-		reactor.CloseFD(s.lane, s.lfd)
-		s.lfdClosed = true
-	}
-	if s.reserveFD >= 0 {
-		reactor.CloseFD(s.lane, s.reserveFD)
-		s.reserveFD = -1
-	}
 }
 
 // ---------------------------------------------------------------------
 // Downstream (client) side
 // ---------------------------------------------------------------------
 
-// acceptAll drains the accept queue. Returns false if the listener died.
-//
-// Resource exhaustion is not death: EMFILE/ENFILE runs the reserve-fd
-// recovery (free a slot, 503 the connection the kernel is holding) and
-// ENOBUFS/ENOMEM just backs off — both park the listener behind the
-// accept gate instead of killing the event loop, because the relays
-// already in flight still deserve service while the process waits for
-// descriptors to come back.
-func (s *Server) acceptAll() bool {
-	for {
-		fd, done, err := reactor.Accept(s.lane, s.lfd)
-		if err != nil {
-			switch {
-			case errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE):
-				s.acceptEM.add(1)
-				s.recoverFDExhaustion()
-				s.gateAccepts()
-				return true
-			case errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM):
-				s.gateAccepts()
-				return true
-			}
-			return false
-		}
-		if done {
-			return true
-		}
-		if fd < 0 {
-			continue // ECONNABORTED: the peer gave up while queued
-		}
-		s.acceptBackoff = 0
-		s.accepted.add(1)
-		if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
-			s.shed.add(1)
-			if pl := s.obs; pl != nil {
-				pl.Record(pl.NextConnID(), obs.Shed, 0)
-			}
-			shedVia(s.lane, fd, ac.RetryAfterSeconds())
-			continue
-		}
-		if int(s.connsOpen.get()) >= s.cfg.MaxConns {
-			s.shed.add(1)
-			if pl := s.obs; pl != nil {
-				pl.Record(pl.NextConnID(), obs.Shed, 0)
-			}
-			shedVia(s.lane, fd, s.cfg.RetryAfterSec)
-			continue
-		}
-		if err := s.poller.Add(fd, true, false); err != nil {
-			reactor.CloseFD(s.lane, fd)
-			continue
-		}
-		d := &dconn{fd: fd, peer: peerIP(fd), acceptedAt: time.Now()}
-		if pl := s.obs; pl != nil {
-			d.obsID = pl.NextConnID()
-			pl.Record(d.obsID, obs.Accept, 0)
-		}
-		s.dconns[fd] = d
-		s.connsOpen.add(1)
+// acquireConn is the acceptor's ceiling hook: claim one downstream
+// slot under MaxConns.
+func (s *Server) acquireConn() bool {
+	if int(s.connsOpen.get()) >= s.cfg.MaxConns {
+		return false
+	}
+	s.connsOpen.add(1)
+	return true
+}
+
+// recordShed is the acceptor's shed hook: a proxy-originated 503,
+// traced under a fresh connection id.
+func (s *Server) recordShed() {
+	s.shed.add(1)
+	if pl := s.obs; pl != nil {
+		pl.Record(pl.NextConnID(), obs.Shed, 0)
 	}
 }
 
-// recoverFDExhaustion is the reserve-descriptor dance: close the
-// reserve to free one slot, accept the connection the kernel is
-// holding, answer it 503 + Retry-After so the client backs off
-// instead of timing out in silence, close it, and re-open the
-// reserve. Without this, the pending connection would sit in the
-// accept queue until a descriptor freed by chance.
-func (s *Server) recoverFDExhaustion() {
-	if s.reserveFD < 0 {
+// adopt is the acceptor's adopt hook: register an admitted client.
+//
+//nio:loop
+func (s *Server) adopt(fd int, at time.Time) {
+	if err := s.poller.Add(fd, true, false); err != nil {
+		reactor.CloseFD(s.lane, fd)
+		s.connsOpen.add(-1)
 		return
 	}
-	reactor.CloseFD(s.lane, s.reserveFD)
-	s.reserveFD = -1
-	fd, done, err := reactor.Accept(s.lane, s.lfd)
-	if err == nil && !done && fd >= 0 {
-		s.shed.add(1)
-		if pl := s.obs; pl != nil {
-			pl.Record(pl.NextConnID(), obs.Shed, 0)
-		}
-		shedVia(s.lane, fd, s.cfg.RetryAfterSec)
+	d := &dconn{fd: fd, peer: peerIP(fd), acceptedAt: at}
+	if pl := s.obs; pl != nil {
+		d.obsID = pl.NextConnID()
+		pl.Record(d.obsID, obs.Accept, 0)
 	}
-	s.reserveFD = openReserve()
-}
-
-// Accept-gate backoff bounds: exponential from 5ms, capped at 250ms,
-// reset to zero by any successful accept.
-const (
-	acceptBackoffMin = 5 * time.Millisecond
-	acceptBackoffMax = 250 * time.Millisecond
-)
-
-// gateAccepts parks the listener outside the poller for the current
-// backoff window (doubling up to the cap). The event loop re-arms it
-// once the window expires; meanwhile in-flight relays keep running —
-// the gate pauses admission, never service.
-func (s *Server) gateAccepts() {
-	if s.acceptBackoff < acceptBackoffMin {
-		s.acceptBackoff = acceptBackoffMin
-	} else if s.acceptBackoff *= 2; s.acceptBackoff > acceptBackoffMax {
-		s.acceptBackoff = acceptBackoffMax
-	}
-	s.acceptBack.add(1)
-	s.acceptGateUntil = time.Now().Add(s.acceptBackoff)
-	if !s.acceptGated {
-		s.poller.Remove(s.lfd)
-		s.acceptGated = true
-	}
-}
-
-// shedVia is shedConn with the tier's provenance: the 503 carries the
-// Via token so clients can attribute the refusal to the proxy layer.
-func shedVia(lane sysfault.Lane, fd int, retryAfterSec int) {
-	resp := httpwire.AppendResponseHeaderExtra(nil, 503, "text/plain", 0, false,
-		httpwire.Header{Name: "Retry-After", Value: strconv.Itoa(retryAfterSec)},
-		httpwire.Header{Name: "Via", Value: ViaToken})
-	_, _, _ = reactor.Write(lane, fd, resp)
-	reactor.CloseFD(lane, fd)
+	s.dconns[fd] = d
 }
 
 // peerIP returns the connected peer's IPv4 address (for XFF), or "".

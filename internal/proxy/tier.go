@@ -4,6 +4,7 @@ package proxy
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"repro/internal/sysfault"
@@ -42,20 +43,20 @@ func NewTier(cfg Config, shards int) (*Tier, error) {
 	if shards > sysfault.MaxLanes {
 		return nil, fmt.Errorf("proxy: %d shards exceeds the %d supported fault lanes", shards, sysfault.MaxLanes)
 	}
-	t := &Tier{mode: "reuseport"}
-	if shards == 1 {
-		// One member needs no port sharing; keep the plain listener so
-		// the degenerate tier is bit-for-bit a standalone Server.
+	// single is the one-member tier on a plain listener: bit-for-bit a
+	// standalone Server.
+	single := func() (*Tier, error) {
 		cfg.Shard, cfg.Lane, cfg.ReusePort = 0, 0, false
 		s, err := NewServer(cfg)
 		if err != nil {
 			return nil, err
 		}
-		t.members = []*Server{s}
-		t.port = s.Port()
-		t.mode = "single"
-		return t, nil
+		return &Tier{members: []*Server{s}, port: s.Port(), mode: "single"}, nil
 	}
+	if shards == 1 {
+		return single() // one member needs no port sharing
+	}
+	t := &Tier{mode: "reuseport"}
 	for i := 0; i < shards; i++ {
 		mc := cfg
 		mc.Shard = i
@@ -71,24 +72,13 @@ func NewTier(cfg Config, shards int) (*Tier, error) {
 			if i == 0 {
 				// Kernel without SO_REUSEPORT: degrade to one member
 				// rather than fail the tier.
-				mc.ReusePort = false
-				mc.ProbeSeed = cfg.ProbeSeed
-				s, err = NewServer(mc)
-				if err != nil {
-					return nil, err
-				}
-				t.members = []*Server{s}
-				t.port = s.Port()
-				t.mode = "single"
-				return t, nil
+				return single()
 			}
 			t.closeAll()
 			return nil, fmt.Errorf("proxy: tier shard %d: %w", i, err)
 		}
 		t.members = append(t.members, s)
-		if i == 0 {
-			t.port = s.Port()
-		}
+		t.port = t.members[0].Port()
 	}
 	return t, nil
 }
@@ -152,33 +142,18 @@ func (t *Tier) Drain(timeout time.Duration) bool {
 	return clean
 }
 
-// Stats sums the member snapshots. Every field is a plain additive
-// counter (ConnsOpen included — each member counts only its own open
-// downstream sockets), so the merge is exact, not approximate.
+// Stats sums the member snapshots field by field. Every field is a
+// plain additive int64 counter (ConnsOpen included — each member
+// counts only its own open downstream sockets), so the merge is exact,
+// not approximate, and a new counter is merged without code here.
 func (t *Tier) Stats() Stats {
 	var sum Stats
+	out := reflect.ValueOf(&sum).Elem()
 	for _, s := range t.members {
-		st := s.Stats()
-		sum.Accepted += st.Accepted
-		sum.Replies += st.Replies
-		sum.BytesIn += st.BytesIn
-		sum.BytesOut += st.BytesOut
-		sum.ConnsOpen += st.ConnsOpen
-		sum.Shed += st.Shed
-		sum.NoBackend += st.NoBackend
-		sum.BadRequest += st.BadRequest
-		sum.BadGateway += st.BadGateway
-		sum.Relayed503 += st.Relayed503
-		sum.UpstreamDials += st.UpstreamDials
-		sum.UpstreamReuses += st.UpstreamReuses
-		sum.UpstreamErrors += st.UpstreamErrors
-		sum.UpstreamRetries += st.UpstreamRetries
-		sum.Ejections += st.Ejections
-		sum.Readmissions += st.Readmissions
-		sum.AcceptEMFILE += st.AcceptEMFILE
-		sum.AcceptBackoffs += st.AcceptBackoffs
-		sum.LocalResErrors += st.LocalResErrors
-		sum.Prewarms += st.Prewarms
+		st := reflect.ValueOf(s.Stats())
+		for i := 0; i < st.NumField(); i++ {
+			out.Field(i).SetInt(out.Field(i).Int() + st.Field(i).Int())
+		}
 	}
 	return sum
 }

@@ -232,8 +232,9 @@ type faultServer struct {
 }
 
 // startFaultServer starts one server of the given kind. The core runs
-// Workers: 1 so its accept and write sites are single-goroutine call
-// streams (count-budgeted plans replay exactly); the thread pool runs
+// one fan-out acceptor and one shard, both on lane 0, so its accept and
+// write sites are single-goroutine call streams (count-budgeted plans
+// replay exactly); the thread pool runs
 // a small fixed pool — its fault handling is per-connection, so thread
 // count only affects interleaving, which the probability rules are
 // immune to by construction.
@@ -247,7 +248,8 @@ func startFaultServer(t *testing.T, kind string, store core.Store, root *docroot
 	switch kind {
 	case "nio":
 		cfg := core.DefaultConfig(store)
-		cfg.Workers = 1
+		cfg.Shards = 1
+		cfg.AcceptFanout = true
 		cfg.Docroot = root
 		cfg.Watchdog = wd
 		cfg.Obs = pl
